@@ -12,6 +12,13 @@ use crate::KtLevel;
 /// for information outside the KT-ρ radius is a bug in the algorithm and
 /// panics with a descriptive message. This keeps the simulated algorithms
 /// honest about what they are allowed to read "for free".
+///
+/// A radius check never touches O(n) scratch. Radius 0 is `v == me`.
+/// Radius 1 is a binary search in this node's sorted CSR row, O(log d).
+/// Radius 2 adds one sorted merge of the two rows in search of a common
+/// neighbour, O(d_me + d_v). Only ρ ≥ 3 falls back to a truncated BFS, so
+/// in KT-1 and KT-2 no query costs more than O(d_me + d_v) beyond its
+/// answer.
 #[derive(Debug, Clone, Copy)]
 pub struct KnowledgeView<'a> {
     graph: &'a Graph,
@@ -65,34 +72,58 @@ impl<'a> KnowledgeView<'a> {
         self.graph.neighbor_vec(self.me)
     }
 
-    /// Distance from `me` to `v` if it is at most `cap`, computed by a
-    /// truncated BFS.
-    fn bounded_distance(&self, v: NodeId, cap: u32) -> Option<u32> {
+    /// Whether `v` lies within `cap` hops of this node. Radii 0–2 are
+    /// answered from the sorted CSR rows; only `cap >= 3` runs a truncated
+    /// BFS.
+    fn within(&self, v: NodeId, cap: u32) -> bool {
         if v == self.me {
-            return Some(0);
+            return true;
         }
-        if cap == 0 {
-            return None;
+        if cap == 0 || v.index() >= self.graph.num_nodes() {
+            return false;
         }
-        let mut dist = vec![u32::MAX; self.graph.num_nodes()];
-        dist[self.me.index()] = 0;
+        if self.graph.has_edge(self.me, v) {
+            return true;
+        }
+        match cap {
+            1 => false,
+            2 => self.share_neighbor(v),
+            _ => self.bfs_within(v, cap),
+        }
+    }
+
+    /// Whether this node and `v` have a common neighbour: one merge of the
+    /// two sorted rows.
+    fn share_neighbor(&self, v: NodeId) -> bool {
+        let mut mine = self.graph.neighbors(self.me).peekable();
+        self.graph.neighbors(v).any(|y| {
+            while mine.next_if(|&x| x < y).is_some() {}
+            mine.peek() == Some(&y)
+        })
+    }
+
+    /// Truncated BFS from this node: whether `v` is reached within `cap`
+    /// hops.
+    fn bfs_within(&self, v: NodeId, cap: u32) -> bool {
+        let mut seen = vec![false; self.graph.num_nodes()];
+        seen[self.me.index()] = true;
         let mut frontier = vec![self.me];
-        for d in 1..=cap {
+        for _ in 0..cap {
             let mut next = Vec::new();
             for &u in &frontier {
                 for w in self.graph.neighbors(u) {
-                    if dist[w.index()] == u32::MAX {
-                        dist[w.index()] = d;
+                    if !seen[w.index()] {
                         if w == v {
-                            return Some(d);
+                            return true;
                         }
+                        seen[w.index()] = true;
                         next.push(w);
                     }
                 }
             }
             frontier = next;
         }
-        None
+        false
     }
 
     /// The ID of node `v`.
@@ -102,9 +133,9 @@ impl<'a> KnowledgeView<'a> {
     /// Panics if `v` is farther than ρ hops from this node — KT-ρ does not
     /// permit knowing that ID initially.
     pub fn id_of(&self, v: NodeId) -> u64 {
-        let within = self.bounded_distance(v, self.level.radius()).is_some();
+        let ok = self.within(v, self.level.radius());
         assert!(
-            within,
+            ok,
             "{} violation: node {} may not initially know the ID of {}",
             self.level, self.me, v
         );
@@ -129,21 +160,23 @@ impl<'a> KnowledgeView<'a> {
             .collect()
     }
 
-    /// The neighbours (addresses) of node `v`.
+    /// The neighbours (addresses) of node `v`, in increasing order, read
+    /// from the graph without copying the row.
     ///
     /// # Panics
     ///
     /// Panics if `v` is farther than ρ − 1 hops from this node; KT-ρ only
-    /// reveals the neighbourhood of nodes within radius ρ − 1.
-    pub fn neighbors_of(&self, v: NodeId) -> Vec<NodeId> {
+    /// reveals the neighbourhood of nodes within radius ρ − 1. The check runs
+    /// at the call, not when the iterator is consumed.
+    pub fn neighbors_of(&self, v: NodeId) -> impl Iterator<Item = NodeId> + 'a {
         let r = self.level.radius();
-        let ok = r >= 1 && self.bounded_distance(v, r - 1).is_some();
+        let ok = r >= 1 && self.within(v, r - 1);
         assert!(
             ok,
             "{} violation: node {} may not initially know the neighbourhood of {}",
             self.level, self.me, v
         );
-        self.graph.neighbor_vec(v)
+        self.graph.neighbors(v)
     }
 
     /// The IDs of the neighbours of node `v` (requires `v` within ρ − 1).
@@ -153,7 +186,6 @@ impl<'a> KnowledgeView<'a> {
     /// Panics under the same conditions as [`Self::neighbors_of`].
     pub fn neighbor_ids_of(&self, v: NodeId) -> Vec<(NodeId, u64)> {
         self.neighbors_of(v)
-            .into_iter()
             .map(|w| (w, self.ids.id_of(w)))
             .collect()
     }
@@ -166,7 +198,7 @@ impl<'a> KnowledgeView<'a> {
         if r == 0 {
             return false;
         }
-        let sees = |x: NodeId| self.bounded_distance(x, r - 1).is_some();
+        let sees = |x: NodeId| self.within(x, r - 1);
         (sees(a) || sees(b)) && self.graph.has_edge(a, b)
     }
 
@@ -188,14 +220,17 @@ impl<'a> KnowledgeView<'a> {
     /// initially (those within radius ρ). Returns `None` for unknown IDs.
     pub fn known_node_with_id(&self, id: u64) -> Option<NodeId> {
         let v = self.ids.node_with_id(id)?;
-        self.bounded_distance(v, self.level.radius()).map(|_| v)
+        self.within(v, self.level.radius()).then_some(v)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use symbreak_graphs::generators;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use symbreak_graphs::{generators, IdSpace};
 
     fn setup(level: KtLevel) -> (Graph, IdAssignment, KtLevel) {
         let g = generators::path(4); // 0 - 1 - 2 - 3
@@ -237,7 +272,10 @@ mod tests {
         let k = KnowledgeView::new(&g, &ids, level, NodeId(0));
         assert_eq!(k.id_of(NodeId(2)), 300);
         assert_eq!(k.two_hop_neighbors(), vec![NodeId(2)]);
-        assert_eq!(k.neighbors_of(NodeId(1)), vec![NodeId(0), NodeId(2)]);
+        assert_eq!(
+            k.neighbors_of(NodeId(1)).collect::<Vec<_>>(),
+            vec![NodeId(0), NodeId(2)]
+        );
         assert!(k.knows_edge(NodeId(1), NodeId(2)));
         assert!(!k.knows_edge(NodeId(2), NodeId(3)));
     }
@@ -273,5 +311,83 @@ mod tests {
         let k = KnowledgeView::new(&g, &ids, KtLevel::KT0, NodeId(1));
         assert_eq!(k.neighbors(), vec![NodeId(0), NodeId(2)]);
         assert_eq!(k.own_id(), 200);
+    }
+
+    /// All-pairs hop distances by plain BFS; `u32::MAX` marks unreachable.
+    fn reference_distances(g: &Graph) -> Vec<Vec<u32>> {
+        g.nodes()
+            .map(|s| {
+                let mut dist = vec![u32::MAX; g.num_nodes()];
+                dist[s.index()] = 0;
+                let mut queue = std::collections::VecDeque::from([s]);
+                while let Some(u) = queue.pop_front() {
+                    for w in g.neighbors(u) {
+                        if dist[w.index()] == u32::MAX {
+                            dist[w.index()] = dist[u.index()] + 1;
+                            queue.push_back(w);
+                        }
+                    }
+                }
+                dist
+            })
+            .collect()
+    }
+
+    #[test]
+    fn radius_checks_match_a_reference_bfs() {
+        let panics = |f: &dyn Fn()| catch_unwind(AssertUnwindSafe(f)).is_err();
+        let levels = [KtLevel::KT0, KtLevel::KT1, KtLevel::KT2, KtLevel(3)];
+        let mut distances_seen = std::collections::BTreeSet::new();
+        for (seed, p) in [(1u64, 0.12), (2, 0.18), (3, 0.25), (4, 0.4)] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let g = generators::gnp(14, p, &mut rng);
+            let ids = IdAssignment::random(&g, IdSpace::CUBIC, &mut rng);
+            let dist = reference_distances(&g);
+            distances_seen.extend(dist.iter().flatten().copied());
+            for level in levels {
+                let r = level.radius();
+                for me in g.nodes() {
+                    let k = KnowledgeView::new(&g, &ids, level, me);
+                    let d = |v: NodeId| dist[me.index()][v.index()];
+                    // KT-ρ reveals adjacency around nodes within ρ − 1 hops.
+                    let sees = |v: NodeId| r >= 1 && d(v) < r;
+                    for v in g.nodes() {
+                        let ctx = format!("{level} me={me} v={v} dist={}", d(v));
+                        assert_eq!(
+                            k.known_node_with_id(ids.id_of(v)).is_some(),
+                            d(v) <= r,
+                            "known_node_with_id: {ctx}"
+                        );
+                        assert_eq!(
+                            panics(&|| {
+                                k.id_of(v);
+                            }),
+                            d(v) > r,
+                            "id_of: {ctx}"
+                        );
+                        assert_eq!(
+                            panics(&|| {
+                                let _ = k.neighbors_of(v);
+                            }),
+                            !sees(v),
+                            "neighbors_of: {ctx}"
+                        );
+                        for b in g.nodes() {
+                            let adjacent = dist[v.index()][b.index()] == 1;
+                            assert_eq!(
+                                k.knows_edge(v, b),
+                                (sees(v) || sees(b)) && adjacent,
+                                "knows_edge({v}, {b}): {ctx}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        // The graphs must reach past every radius tested, including the
+        // BFS fallback of KT-3, and contain unreachable pairs.
+        for want in [0, 1, 2, 3, 4, u32::MAX] {
+            assert!(distances_seen.contains(&want), "no pair at distance {want}");
+        }
     }
 }

@@ -11,9 +11,10 @@ use crate::ExecutionReport;
 /// *Simulated* costs come from actually executed message exchanges in the
 /// simulator. *Charged* costs come from black-box substrates whose published
 /// complexity is charged without re-implementing them (see the substitution
-/// notes in `DESIGN.md`: the danner construction of Theorem 1.1 and the
-/// asynchronous MST of Theorem 1.3). Reports keep the two separate so that
-/// the substitution stays visible in every measurement.
+/// notes in the `symbreak-danner` crate docs, `crates/danner/src/lib.rs`: the
+/// danner construction of Theorem 1.1 and the asynchronous MST of
+/// Theorem 1.3). Reports keep the two separate so that the substitution
+/// stays visible in every measurement.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PhaseCost {
     /// Messages actually exchanged in the simulator.

@@ -103,8 +103,9 @@ struct InformNode {
     /// Relays not yet sent: an edge may carry only one message per round
     /// (the `congest::audit` multiplicity check enforces this), so when one
     /// forwarder owes the same 2-hop target relays for several joiners they
-    /// are spread over consecutive rounds.
-    pending: Vec<(NodeId, u64)>,
+    /// are spread over consecutive rounds. Each relay is `(port, target,
+    /// joiner ID)`, the port being the target's index in `ctx.neighbors()`.
+    pending: Vec<(usize, NodeId, u64)>,
 }
 
 impl NodeAlgorithm for InformNode {
@@ -122,48 +123,48 @@ impl NodeAlgorithm for InformNode {
         // Forwarding role: for every JOIN heard from a neighbour u, relay it
         // to exactly the 2-hop neighbours of u for which we are the
         // minimum-ID common neighbour (computable from KT-2 knowledge).
-        let me = ctx.node();
+        let knowledge = *ctx.knowledge();
         let my_id = ctx.own_id();
-        let mut to_send: Vec<(NodeId, u64)> = Vec::new();
         for msg in inbox {
             if msg.tag() != TAG_JOIN {
                 continue;
             }
             let uid = msg.ids()[0];
-            let Some(u) = ctx.knowledge().known_node_with_id(uid) else {
+            let Some(u) = knowledge.known_node_with_id(uid) else {
                 continue;
             };
-            let u_neighbors = ctx.knowledge().neighbors_of(u);
-            for &(w, _wid) in ctx.knowledge().neighbor_ids().iter() {
-                if w == u || u_neighbors.contains(&w) {
+            // N(u) lies within radius 2, so its IDs are KT-2 knowledge. We
+            // are a common neighbour of u and every candidate w, so we are
+            // the minimum-ID one unless a common neighbour has a smaller ID:
+            // only those members of N(u) need to meet N(w).
+            let u_neighbors = knowledge.neighbor_ids_of(u);
+            let smaller: Vec<NodeId> = u_neighbors
+                .iter()
+                .filter(|&&(_, xid)| xid < my_id)
+                .map(|&(x, _)| x)
+                .collect();
+            for (port, w) in ctx.neighbors().enumerate() {
+                if w == u || u_neighbors.binary_search_by_key(&w, |&(x, _)| x).is_ok() {
                     continue; // w is u itself or a 1-hop neighbour of u.
                 }
-                // Common neighbours of u and w; we know N(w) because w is our
-                // neighbour (KT-2).
-                let w_neighbors = ctx.knowledge().neighbors_of(w);
-                let min_common = u_neighbors
-                    .iter()
-                    .filter(|x| w_neighbors.contains(x))
-                    .map(|&x| (ctx.knowledge().id_of(x), x))
-                    .min();
-                if let Some((_, best)) = min_common {
-                    if best == me {
-                        to_send.push((w, uid));
-                    }
+                // We know N(w) because w is our neighbour (KT-2).
+                if !sorted_intersect(&smaller, knowledge.neighbors_of(w)) {
+                    self.pending.push((port, w, uid));
                 }
             }
         }
-        let _ = my_id;
-        self.pending.extend(to_send);
-        // Drain at most one relay per target edge per round; a node with
-        // leftovers stays active (`is_done`) and continues next round.
-        let mut sent_now: Vec<NodeId> = Vec::new();
+        // Drain at most one relay per target edge per round, in order; a
+        // node with leftovers stays active (`is_done`) and continues next
+        // round.
+        if self.pending.is_empty() {
+            return;
+        }
+        let mut sent_now = vec![false; ctx.degree()];
         let mut rest = Vec::new();
-        for (w, uid) in std::mem::take(&mut self.pending) {
-            if sent_now.contains(&w) {
-                rest.push((w, uid));
+        for (port, w, uid) in std::mem::take(&mut self.pending) {
+            if std::mem::replace(&mut sent_now[port], true) {
+                rest.push((port, w, uid));
             } else {
-                sent_now.push(w);
                 ctx.send(w, Message::tagged(TAG_JOIN_FWD).with_id(uid));
             }
         }
@@ -175,6 +176,16 @@ impl NodeAlgorithm for InformNode {
     fn output(&self) -> Option<u64> {
         Some(self.informed)
     }
+}
+
+/// Whether the sorted slice `a` and the sorted iterator `b` share an element:
+/// one merge.
+fn sorted_intersect(a: &[NodeId], mut b: impl Iterator<Item = NodeId>) -> bool {
+    let mut a = a.iter().copied().peekable();
+    b.any(|y| {
+        while a.next_if(|&x| x < y).is_some() {}
+        a.peek() == Some(&y)
+    })
 }
 
 /// Runs Algorithm 3.
@@ -510,7 +521,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use symbreak_classic::mis::verify;
+    use symbreak_classic::mis::{greedy, verify};
     use symbreak_graphs::{generators, IdSpace};
 
     fn instance(n: usize, p: f64, seed: u64) -> (Graph, IdAssignment) {
@@ -593,6 +604,51 @@ mod tests {
                 "seed {seed}"
             );
             assert_eq!(lane.costs, solo.costs, "seed {seed}");
+        }
+    }
+
+    /// The message bound of Theorem 4.1 rests on the inform stage reaching
+    /// every 1-hop neighbour of a joiner once (its broadcast) and every
+    /// 2-hop node exactly once (one relay, from the minimum-ID common
+    /// neighbour). The expected count comes from the graph and a sequential
+    /// greedy MIS on the same sample and ranks, not from the simulation.
+    #[test]
+    fn inform_reaches_each_two_hop_node_exactly_once_per_joiner() {
+        for (n, p, seed, coefficient) in [
+            (60usize, 0.1, 21u64, 1.0),
+            (80, 0.3, 22, 2.0),
+            (120, 0.6, 23, 3.0),
+            (100, 0.9, 24, 4.0),
+        ] {
+            let (g, ids) = instance(n, p, seed);
+            let config = Alg3Config {
+                sample_coefficient: coefficient,
+                ..Alg3Config::default()
+            };
+            // Step 1 of `run`, replayed on the same coins.
+            let mut rng = StdRng::seed_from_u64(seed + 100);
+            let q = (coefficient / (n as f64).sqrt()).min(1.0);
+            let mut in_sample = vec![false; n];
+            for i in sampling::bernoulli_subset(n, q, &mut rng) {
+                in_sample[i] = true;
+            }
+            let ranks = sampling::random_ranks(n, &mut rng);
+            let joiners = greedy::greedy_mis_on_subset(&g, &in_sample, &ranks);
+            let expected: u64 = g
+                .nodes()
+                .filter(|j| joiners[j.index()])
+                .map(|j| (g.degree(j) + g.two_hop_neighbors(j).len()) as u64)
+                .sum();
+            assert!(expected > 0, "n={n} p={p}: no joiner reaches anyone");
+
+            let mut rng = StdRng::seed_from_u64(seed + 100);
+            let out = run(&g, &ids, config, &mut rng).unwrap();
+            let inform = out
+                .costs
+                .phases()
+                .find(|(label, _)| label.starts_with("inform 2-hop"))
+                .map(|(_, cost)| cost.simulated_messages);
+            assert_eq!(inform, Some(expected), "n={n} p={p} seed={seed}");
         }
     }
 

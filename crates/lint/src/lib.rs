@@ -328,13 +328,11 @@ pub fn lex(src: &str) -> Vec<Token> {
             ch if ch.is_ascii_digit() => {
                 let mut j = i + 1;
                 while j < c.len() {
-                    if is_ident_cont(c[j]) {
-                        j += 1;
-                    } else if c[j] == '.'
+                    let decimal_point = c[j] == '.'
                         && j + 1 < c.len()
                         && c[j + 1].is_ascii_digit()
-                        && (j == 0 || c[j - 1] != '.')
-                    {
+                        && (j == 0 || c[j - 1] != '.');
+                    if is_ident_cont(c[j]) || decimal_point {
                         j += 1;
                     } else {
                         break;
